@@ -146,9 +146,10 @@ fn assert_recovers_committed(dir: &Path, outcome: &ScriptOutcome, what: &str) {
 
 /// The clean script's I/O budgets: journal records appended and
 /// physical page I/Os performed by a fault-free run. The crash sweeps
-/// cover every index in them.
-fn clean_budgets() -> (u64, u64) {
-    let dir = tmp_dir("budget");
+/// cover every index in them. `tag` names the caller's own directory,
+/// so sweeps running in parallel never wipe each other's store.
+fn clean_budgets(tag: &str) -> (u64, u64) {
+    let dir = tmp_dir(&format!("budget-{tag}"));
     let outcome = run_script(&dir, FaultPlan::none(0), FaultPlan::none(0));
     assert_eq!(outcome.crashed_at, None, "clean run must not crash");
     assert!(
@@ -166,7 +167,7 @@ fn clean_budgets() -> (u64, u64) {
 /// run performs, and k = budget, budget+1 must run clean.
 #[test]
 fn crash_at_every_wal_append_recovers_last_committed_window() {
-    let (budget, _) = clean_budgets();
+    let (budget, _) = clean_budgets("wal");
     let mut crash_ops = BTreeSet::new();
     for k in 0..budget + 2 {
         let dir = tmp_dir(&format!("wal-{k}"));
@@ -200,7 +201,7 @@ fn crash_at_every_wal_append_recovers_last_committed_window() {
 /// instead of mid-append.
 #[test]
 fn crash_at_every_page_io_recovers_last_committed_window() {
-    let (_, budget) = clean_budgets();
+    let (_, budget) = clean_budgets("page");
     assert!(budget > 4, "script too small to exercise page I/O crashes");
     let mut crashed = 0u64;
     for k in 0..budget + 2 {

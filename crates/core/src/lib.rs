@@ -29,10 +29,12 @@
 
 pub mod db;
 pub mod dual;
+pub mod ids;
 pub mod method;
 
 pub use db::{sort_by_dual_locality, BatchError, DbOp, DuplicateId, MotionDb, UnknownId};
 pub use dual::{hough_x_point, hough_x_query, hough_y_b, SpeedBand};
+pub use ids::{merge_sorted_ids, sort_dedup_ids};
 pub use method::vp_dual::{
     analytic_edges, geometric_edges, optimize_boundaries, VpDualConfig, VpDualIndex,
 };

@@ -24,6 +24,7 @@
 //! harness; Lemma 1's bound needs them.
 
 use crate::dual::{enlargement_e, hough_y_b, hough_y_interval, SpeedBand};
+use crate::ids::sort_dedup_ids;
 use crate::method::{Index1D, IndexStats, IoTotals};
 use mobidx_bptree::{BPlusTree, FrozenTree, TreeConfig};
 use mobidx_interval::{IntervalConfig, IntervalTree};
@@ -620,8 +621,7 @@ impl Index1D for DualBPlusIndex {
                 .range_for_each(q.y1, q.y2, |_, id| out.push(id));
             self.last_candidates += (out.len() - before) as u64;
         }
-        out.sort_unstable();
-        out.dedup();
+        sort_dedup_ids(out);
     }
 
     /// Freezes the observation and static trees into an immutable,
@@ -710,8 +710,7 @@ impl crate::method::FrozenIndex1D for FrozenDualBPlus {
                 .range_for_each(q.y1, q.y2, |_, id| out.push(id));
             stats.candidates += (out.len() - before) as u64;
         }
-        out.sort_unstable();
-        out.dedup();
+        sort_dedup_ids(out);
         stats
     }
 }

@@ -639,8 +639,7 @@ pub trait Index2D: IndexStats {
 
 /// Sorts and deduplicates a result id list (the `query` postcondition).
 pub(crate) fn finish_ids(mut ids: Vec<u64>) -> Vec<u64> {
-    ids.sort_unstable();
-    ids.dedup();
+    crate::ids::sort_dedup_ids(&mut ids);
     ids
 }
 

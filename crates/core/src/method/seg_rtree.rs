@@ -18,6 +18,7 @@
 //! update there), so its answers are defined by segment geometry; the
 //! test oracle clips trajectories the same way.
 
+use crate::ids::sort_dedup_ids;
 use crate::method::{finish_ids, Index1D, IndexStats, IoTotals};
 use mobidx_geom::{Point2, Rect2, Segment};
 use mobidx_rstar::{RStarConfig, RStarTree};
@@ -164,8 +165,7 @@ impl Index1D for SegRTreeIndex {
             }
         });
         self.last_candidates = candidates;
-        out.sort_unstable();
-        out.dedup();
+        sort_dedup_ids(out);
     }
 }
 

@@ -72,6 +72,7 @@
 
 use crate::db::sort_by_dual_locality;
 use crate::dual::SpeedBand;
+use crate::ids::merge_sorted_ids;
 use crate::method::{BandIo, FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, IoTotals};
 use mobidx_bptree::TreeConfig;
 use mobidx_workload::{MorQuery1D, Motion1D};
@@ -163,7 +164,8 @@ pub struct VpDualIndex {
     last_candidates: u64,
     repartitions: u64,
     moved_total: u64,
-    scratch: Vec<u64>,
+    /// Per-band answer buffers, recycled across queries.
+    scratch: Vec<Vec<u64>>,
 }
 
 /// Equal-ratio band edges over `band`: `k` bands whose edges form a
@@ -852,22 +854,21 @@ impl Index1D for VpDualIndex {
     fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
         out.clear();
         self.last_candidates = 0;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for b in 0..self.subs.len() {
+        let mut lists = std::mem::take(&mut self.scratch);
+        lists.resize_with(self.subs.len(), Vec::new);
+        for (b, list) in lists.iter_mut().enumerate() {
+            list.clear();
             if self.residents[b] == 0 {
                 continue; // empty band: skip the descents entirely
             }
-            self.subs[b].search(q, &mut scratch);
+            self.subs[b].search(q, list);
             let candidates = self.subs[b].last_candidates();
             self.last_candidates += candidates;
             self.band_query[b].candidates += candidates;
-            self.band_query[b].results += scratch.len() as u64;
-            out.extend_from_slice(&scratch);
+            self.band_query[b].results += list.len() as u64;
         }
-        scratch.clear();
-        self.scratch = scratch;
-        out.sort_unstable();
-        out.dedup();
+        *out = merge_sorted_ids(&lists);
+        self.scratch = lists;
     }
 
     fn freeze(&self) -> Option<Box<dyn FrozenIndex1D>> {
@@ -893,13 +894,11 @@ impl FrozenIndex1D for FrozenVpDual {
     fn search(&self, q: &MorQuery1D, out: &mut Vec<u64>) -> FrozenReadStats {
         out.clear();
         let mut stats = FrozenReadStats::default();
-        let mut scratch = Vec::new();
-        for view in &self.views {
-            stats = stats.merge(view.search(q, &mut scratch));
-            out.extend_from_slice(&scratch);
+        let mut lists = vec![Vec::new(); self.views.len()];
+        for (view, list) in self.views.iter().zip(&mut lists) {
+            stats = stats.merge(view.search(q, list));
         }
-        out.sort_unstable();
-        out.dedup();
+        *out = merge_sorted_ids(&lists);
         stats
     }
 }

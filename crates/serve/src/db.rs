@@ -645,13 +645,18 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
                 Err(TryRecvError::Disconnected) => break,
             }
         }
-        let legs: Vec<SnapLeg> = legs.into_iter().map(|l| l.expect("all legs ran")).collect();
-        let lists: Vec<Vec<u64>> = legs.iter().map(|l| l.ids.clone()).collect();
+        let mut legs: Vec<SnapLeg> = legs.into_iter().map(|l| l.expect("all legs ran")).collect();
+        // Move each leg's buffer out (no copy) for the merge; they go
+        // back to the pool below.
+        let lists: Vec<Vec<u64>> = legs
+            .iter_mut()
+            .map(|l| std::mem::take(&mut l.ids))
+            .collect();
         let merged = merge_sorted_ids(&lists);
         let candidates = legs.iter().map(|l| l.stats.candidates).sum();
         let span = root.map(|mut root| {
-            for leg in &legs {
-                root.push(leg.span.clone().expect("span requested"));
+            for leg in &mut legs {
+                root.push(leg.span.take().expect("span requested"));
             }
             root.set_attr("candidates", candidates);
             root.set_attr("results", merged.len() as u64);
@@ -661,9 +666,9 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         });
         {
             let mut pool = self.buffers.lock().expect("buffer pool");
-            for mut leg in legs {
-                leg.ids.clear();
-                pool.push(leg.ids);
+            for mut ids in lists {
+                ids.clear();
+                pool.push(ids);
             }
         }
         self.profile
@@ -1148,5 +1153,74 @@ impl<I: Index1D + Send + 'static> std::fmt::Debug for ShardedDb<I> {
             .field("objects", &self.len())
             .field("snapshot_epoch", &self.snapshot_epoch())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::IdHashShard;
+    use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
+    use mobidx_workload::{brute_force_1d, Simulator1D, WorkloadConfig};
+
+    /// Snapshot reads move each leg's buffer into the merge and hand it
+    /// back to the pool afterwards: answers stay those of the serial
+    /// [`ReadView`] (and the brute-force oracle), and the pool never
+    /// holds more than one buffer per leg in flight.
+    #[test]
+    fn snapshot_reads_match_read_view_and_recycle_leg_buffers() {
+        let (shards, clients) = (3, 4);
+        let db = ShardedDb::new(
+            ServeConfig {
+                shards,
+                read_threads: 2,
+                ..ServeConfig::default()
+            },
+            Box::new(IdHashShard),
+            |_, _| DualBPlusIndex::new(DualBPlusConfig::default()),
+        );
+        let mut sim = Simulator1D::new(WorkloadConfig {
+            n: 3_000,
+            seed: 7,
+            ..WorkloadConfig::default()
+        });
+        let mut batch = Batch::new();
+        for m in sim.objects() {
+            batch.insert(*m);
+        }
+        db.apply(&batch).expect("load");
+        let view = db.read_view().expect("published");
+        // Large- and small-mix queries: legs above and below the radix
+        // sort's cutoff.
+        let queries: Vec<MorQuery1D> = (0..300)
+            .map(|i| sim.gen_query(if i % 2 == 0 { 150.0 } else { 10.0 }, 60.0))
+            .collect();
+        for q in &queries {
+            let out = db.query(&QueryRequest::new(q)).expect("snapshot read");
+            assert_eq!(out.epoch, Some(view.epoch()));
+            assert_eq!(out.ids, view.query(q), "query {q:?}");
+            assert_eq!(out.ids, brute_force_1d(sim.objects(), q), "query {q:?}");
+            let pooled = db.buffers.lock().expect("buffer pool").len();
+            assert_eq!(
+                pooled, shards,
+                "serial reads recycle exactly one buffer per leg"
+            );
+        }
+        std::thread::scope(|s| {
+            for c in 0..clients {
+                let (db, view, queries) = (&db, &view, &queries);
+                s.spawn(move || {
+                    for q in queries.iter().skip(c).step_by(clients) {
+                        let out = db.query(&QueryRequest::new(q)).expect("snapshot read");
+                        assert_eq!(out.ids, view.query(q), "query {q:?}");
+                    }
+                });
+            }
+        });
+        let pooled = db.buffers.lock().expect("buffer pool").len();
+        assert!(
+            pooled <= shards * clients,
+            "{pooled} pooled buffers after {clients} concurrent clients on {shards} shards"
+        );
     }
 }

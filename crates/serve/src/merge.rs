@@ -4,73 +4,12 @@
 //! query contract); the facade merges the lists back into one sorted,
 //! deduplicated answer — the same contract a single index would have
 //! produced, so callers cannot tell a sharded database from a plain one.
+//! The merge lives in `mobidx-core` (speed-banded indexes merge their
+//! per-band answers with it too) and is re-exported here.
 //!
 //! [`Index1D`]: mobidx_core::Index1D
 
-/// Merges sorted, deduplicated id lists into one sorted, deduplicated
-/// list. Duplicates *across* lists are collapsed (shard functions
-/// partition objects, so lists are normally disjoint — but the merge
-/// does not rely on it).
-#[must_use]
-pub fn merge_sorted_ids(lists: &[Vec<u64>]) -> Vec<u64> {
-    // Tournament of two-pointer merges: O(R log k) with a tight inner
-    // loop, instead of a k-wide cursor scan per output element.
-    let nonempty: Vec<&[u64]> = lists
-        .iter()
-        .filter(|l| !l.is_empty())
-        .map(Vec::as_slice)
-        .collect();
-    if nonempty.is_empty() {
-        return Vec::new();
-    }
-    let mut round: Vec<Vec<u64>> = nonempty
-        .chunks(2)
-        .map(|pair| match pair {
-            [a, b] => merge_two(a, b),
-            [a] => a.to_vec(),
-            _ => unreachable!("chunks(2)"),
-        })
-        .collect();
-    while round.len() > 1 {
-        let mut next = Vec::with_capacity(round.len().div_ceil(2));
-        let mut it = round.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(&a, &b)),
-                None => next.push(a),
-            }
-        }
-        round = next;
-    }
-    round.pop().expect("one list left")
-}
-
-/// Two-pointer merge of two sorted, deduplicated lists, collapsing
-/// cross-list duplicates.
-fn merge_two(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
+pub use mobidx_core::merge_sorted_ids;
 
 #[cfg(test)]
 mod tests {
