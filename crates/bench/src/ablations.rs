@@ -10,6 +10,7 @@ use mobidx_core::{Index2D, QueryRequest, SpeedBand};
 use mobidx_kdtree::KdConfig;
 use mobidx_persist::PersistConfig;
 use mobidx_workload::{Simulator1D, Simulator2D, WorkloadConfig, WorkloadConfig2D};
+use std::time::Instant;
 
 /// A1 — the c trade-off of §3.5.2/§5: query, update, and space cost of
 /// the dual-B+ method as the number of observation indices sweeps.
@@ -149,15 +150,15 @@ pub fn ablation_adversarial(n: usize, seed: u64) -> Vec<MethodMeasurement> {
             q.t2 = q.t1;
             idx.clear_buffers();
             idx.reset_io();
-            let out = idx.query(&QueryRequest::new(&q).traced());
-            let trace = out.trace.clone().expect("traced request yields a trace");
-            let ids = out.ids;
-            query_ios += trace.ios();
-            results += ids.len() as u64;
-            candidates += trace.candidates;
-            hits += trace.hits;
-            reads += trace.reads;
-            latency.record(trace.latency_nanos);
+            let out = idx.query(&QueryRequest::new(&q).spanned(Instant::now()));
+            let span = out.span.expect("spanned request yields a span");
+            let io = span.total_io();
+            query_ios += io.ios();
+            results += out.ids.len() as u64;
+            candidates += out.candidates;
+            hits += io.hits;
+            reads += io.reads;
+            latency.record(span.duration_nanos);
         }
         #[allow(clippy::cast_precision_loss)]
         out.push(MethodMeasurement {
@@ -229,15 +230,15 @@ pub fn ablation_2d(n: usize, seed: u64) -> Vec<MethodMeasurement> {
             let q = sim.gen_query(150.0, 60.0);
             idx.clear_buffers();
             idx.reset_io();
-            let out = idx.query(&QueryRequest::new(&q).traced());
-            let trace = out.trace.clone().expect("traced request yields a trace");
-            let ids = out.ids;
-            query_ios += trace.ios();
-            results += ids.len() as u64;
-            candidates += trace.candidates;
-            hits += trace.hits;
-            reads += trace.reads;
-            latency.record(trace.latency_nanos);
+            let out = idx.query(&QueryRequest::new(&q).spanned(Instant::now()));
+            let span = out.span.expect("spanned request yields a span");
+            let io = span.total_io();
+            query_ios += io.ios();
+            results += out.ids.len() as u64;
+            candidates += out.candidates;
+            hits += io.hits;
+            reads += io.reads;
+            latency.record(span.duration_nanos);
         }
         let ups = sim.step();
         let n_ups = ups.len();

@@ -36,6 +36,7 @@ use mobidx_obs::{Histogram, HistogramSnapshot};
 use mobidx_workload::{paper, Simulator1D, WorkloadConfig};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::time::Instant;
 
 pub mod ablations;
 pub mod diagnose;
@@ -282,15 +283,15 @@ pub fn run_scenario(
                 let q = sim.gen_query(yqmax, tw);
                 idx.clear_buffers();
                 idx.reset_io();
-                let out = idx.query(&QueryRequest::new(&q).traced());
-                let trace = out.trace.clone().expect("traced request yields a trace");
-                let ids = out.ids;
-                query_ios += trace.ios();
-                results += ids.len() as u64;
-                candidates += trace.candidates;
-                query_hits += trace.hits;
-                query_reads += trace.reads;
-                latency.record(trace.latency_nanos);
+                let out = idx.query(&QueryRequest::new(&q).spanned(Instant::now()));
+                let span = out.span.expect("spanned request yields a span");
+                let io = span.total_io();
+                query_ios += io.ios();
+                results += out.ids.len() as u64;
+                candidates += out.candidates;
+                query_hits += io.hits;
+                query_reads += io.reads;
+                latency.record(span.duration_nanos);
                 queries += 1;
             }
         }

@@ -792,7 +792,7 @@ pub fn capture_trace(cfg: &ThroughputConfig, shards: usize, queries: usize) -> S
     let (yqmax, tw) = QueryMix::Large.params();
     for _ in 0..queries.max(1) {
         let q = sim.gen_query(yqmax, tw);
-        db.query(&QueryRequest::new(&q).traced())
+        db.query(&QueryRequest::new(&q).spanned(db.telemetry_epoch()))
             .expect("traced query");
     }
     let spans = db.recent_spans();
@@ -956,7 +956,7 @@ fn drive_phase(db: &mut ShardedDb<DualBPlusIndex>, sim: &mut Simulator1D, instan
         for q_no in 0..8 {
             let q = sim.gen_query(yqmax, tw);
             if (instant + q_no) % 4 == 0 {
-                db.query(&QueryRequest::new(&q).traced())
+                db.query(&QueryRequest::new(&q).spanned(db.telemetry_epoch()))
                     .expect("traced query");
             } else {
                 db.query(&QueryRequest::new(&q)).expect("query");

@@ -269,22 +269,28 @@ impl DualBPlusIndex {
     /// (each observation B+-tree, the static tree, and any subterrain
     /// interval index), calling `make` once per store. Used by the
     /// model-checking harness to inject faults into a serving shard.
+    ///
+    /// # Panics
+    /// When `make` hands a subterrain interval index a durable backend:
+    /// those stores have no page codec, so nothing they hold would reach
+    /// the log.
     pub fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
         drop(self.static_tree.set_backend(make()));
         for obs in &mut self.obs {
             drop(obs.pos_tree.set_backend(make()));
             drop(obs.neg_tree.set_backend(make()));
         }
-        for sub in &mut self.sub {
-            drop(sub.set_backend(make()));
+        for (j, sub) in self.sub.iter_mut().enumerate() {
+            let backend = super::volatile_backend(make, "dual-B+", &format!("sub{j}"));
+            drop(sub.set_backend(backend));
         }
     }
 
     /// Seals one commit window on every durable B+-tree (the static
     /// tree and each observation tree); trees on non-durable backends
     /// are unaffected (their commit is a no-op). The subterrain
-    /// interval indices carry no byte codec yet and stay
-    /// memory-resident even when the trees are durable.
+    /// interval indices carry no byte codec, so [`Self::set_backends`]
+    /// refuses to put them on durable backends.
     ///
     /// # Errors
     /// Reports the first tree whose journal rejected the window as

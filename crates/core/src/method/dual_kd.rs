@@ -175,8 +175,9 @@ impl IndexStats for DualKdIndex {
     }
 
     fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
-        for (_, store) in self.rot.generations_mut() {
-            drop(store.tree.set_backend(make()));
+        for (i, (_, store)) in self.rot.generations_mut().enumerate() {
+            let backend = super::volatile_backend(make, "dual-kd", &format!("gen{i}"));
+            drop(store.tree.set_backend(backend));
         }
     }
 }

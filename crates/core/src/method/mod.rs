@@ -12,7 +12,7 @@ pub mod routes;
 pub mod seg_rtree;
 pub mod vp_dual;
 
-use mobidx_obs::{OpenSpan, QueryTrace, Span, SpanIo};
+use mobidx_obs::{OpenSpan, Span, SpanIo};
 use mobidx_pager::{Backend, IoStats};
 use mobidx_workload::{MorQuery1D, MorQuery2D, Motion1D, Motion2D};
 use std::cell::Cell;
@@ -37,11 +37,13 @@ use std::time::Instant;
 /// // Plain query.
 /// assert_eq!(index.query(&QueryRequest::new(&q)), vec![1]);
 ///
-/// // Flat per-query trace, reusing a caller-owned buffer.
+/// // Span tree timed from `epoch`, reusing a caller-owned buffer.
 /// let buf = Vec::with_capacity(64);
-/// let out = index.query(&QueryRequest::new(&q).traced().with_buffer(buf));
+/// let epoch = std::time::Instant::now();
+/// let out = index.query(&QueryRequest::new(&q).spanned(epoch).with_buffer(buf));
 /// assert_eq!(out.ids, vec![1]);
-/// assert!(out.trace.is_some());
+/// let span = out.span.expect("spanned request yields a span");
+/// assert_eq!(span.attr_u64("results"), Some(1));
 /// ```
 ///
 /// The request is a plain value: `q` borrows the caller's query, and the
@@ -49,7 +51,6 @@ use std::time::Instant;
 /// executor can take it without the request being `&mut`.
 pub struct QueryRequest<'a, Q> {
     q: &'a Q,
-    trace: bool,
     span_epoch: Option<Instant>,
     queued: bool,
     speed: Option<(f64, f64)>,
@@ -60,7 +61,6 @@ impl<Q: std::fmt::Debug> std::fmt::Debug for QueryRequest<'_, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryRequest")
             .field("q", &self.q)
-            .field("trace", &self.trace)
             .field("span_epoch", &self.span_epoch)
             .field("queued", &self.queued)
             .field("speed", &self.speed)
@@ -74,7 +74,6 @@ impl<'a, Q> QueryRequest<'a, Q> {
     pub fn new(q: &'a Q) -> Self {
         Self {
             q,
-            trace: false,
             span_epoch: None,
             queued: false,
             speed: None,
@@ -82,16 +81,11 @@ impl<'a, Q> QueryRequest<'a, Q> {
         }
     }
 
-    /// Requests a flattened [`QueryTrace`] (I/O delta, candidates vs
-    /// results, latency) in [`QueryOutput::trace`].
-    #[must_use]
-    pub fn traced(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Requests the full hierarchical [`Span`] tree, timed against
-    /// `epoch` (the caller-wide time base), in [`QueryOutput::span`].
+    /// Requests the hierarchical [`Span`] tree, timed against `epoch`
+    /// (the caller-wide time base), in [`QueryOutput::span`]. The span
+    /// is the one per-query trace: I/O on its store leaves
+    /// ([`Span::total_io`]), `candidates` / `results` on its root, and
+    /// the query latency as the root's duration.
     #[must_use]
     pub fn spanned(mut self, epoch: Instant) -> Self {
         self.span_epoch = Some(epoch);
@@ -132,23 +126,10 @@ impl<'a, Q> QueryRequest<'a, Q> {
         self.q
     }
 
-    /// Whether a flat [`QueryTrace`] was requested.
-    #[must_use]
-    pub fn wants_trace(&self) -> bool {
-        self.trace
-    }
-
-    /// The span time base, when a full span tree was requested.
+    /// The span time base, when a span tree was requested.
     #[must_use]
     pub fn span_epoch(&self) -> Option<Instant> {
         self.span_epoch
-    }
-
-    /// Whether the executor must build a span at all (a trace is a
-    /// flattened span).
-    #[must_use]
-    pub fn wants_span(&self) -> bool {
-        self.trace || self.span_epoch.is_some()
     }
 
     /// Whether the queued read path was forced.
@@ -194,9 +175,7 @@ pub struct QueryOutput {
     /// The commit epoch of the snapshot that served the read, when the
     /// executor is a snapshot surface (`None` on live-index reads).
     pub epoch: Option<u64>,
-    /// The flat per-query trace, when requested.
-    pub trace: Option<QueryTrace>,
-    /// The full span tree, when requested via [`QueryRequest::spanned`].
+    /// The span tree, when requested via [`QueryRequest::spanned`].
     pub span: Option<Span>,
 }
 
@@ -428,6 +407,11 @@ pub trait IndexStats {
     /// harness and the disk-latency bench use to arm backends behind an
     /// object-safe surface. The default is a no-op for methods without
     /// pluggable storage.
+    ///
+    /// # Panics
+    /// Stores whose pages have no byte codec (kd-tree, R*-tree and
+    /// interval-tree pages) panic when `make` returns a durable backend,
+    /// rather than accept writes that no commit would log.
     fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn Backend>) {
         let _ = make;
     }
@@ -447,35 +431,44 @@ pub trait IndexStats {
     }
 }
 
-/// The one shared span-building implementation behind the unified
-/// `query` of both [`Index1D`] and [`Index2D`]: runs `run` (which fills
-/// `out` with the sorted, deduplicated answer) inside an `index.query`
-/// span timed against `epoch`, with one zero-duration leaf child per
-/// internal page store carrying that store's I/O delta (plus a `pages`
-/// level attribute). Because I/O is attributed to the leaves only,
-/// [`Span::total_io`] over the result reconciles exactly with the
-/// [`IoTotals`] delta around the call.
-fn run_span<I>(
+/// The one executor behind [`Index1D::query`] and [`Index2D::query`]:
+/// runs `search` (which fills the request's buffer with the sorted,
+/// deduplicated answer) and, when the request is spanned, wraps it in an
+/// `index.query` span timed against the request's epoch, with one
+/// zero-duration leaf child per internal page store carrying that
+/// store's I/O delta (plus a `pages` level attribute). Because I/O is
+/// attributed to the leaves only, [`Span::total_io`] over the result
+/// reconciles exactly with the [`IoTotals`] delta around the call.
+fn execute<I, Q>(
     index: &mut I,
-    epoch: Instant,
-    out: &mut Vec<u64>,
-    run: impl FnOnce(&mut I, &mut Vec<u64>),
-) -> Span
+    req: &QueryRequest<'_, Q>,
+    search: impl FnOnce(&mut I, &Q, &mut Vec<u64>),
+) -> QueryOutput
 where
     I: IndexStats + ?Sized,
 {
+    let mut ids = req.take_buffer();
+    let Some(epoch) = req.span_epoch() else {
+        search(index, req.query(), &mut ids);
+        return QueryOutput {
+            candidates: index.last_candidates(),
+            ids,
+            ..QueryOutput::default()
+        };
+    };
     let stores_before = index.store_io();
     let mut open = OpenSpan::begin("index.query", epoch);
-    run(index, out);
+    search(index, req.query(), &mut ids);
     let stores_after = index.store_io();
     debug_assert_eq!(
         stores_before.len(),
         stores_after.len(),
         "store layout changed mid-query"
     );
+    let candidates = index.last_candidates();
     open.set_attr("method", index.name().as_str());
-    open.set_attr("candidates", index.last_candidates());
-    open.set_attr("results", out.len() as u64);
+    open.set_attr("candidates", candidates);
+    open.set_attr("results", ids.len() as u64);
     let start_nanos = open.start_nanos();
     for ((label, now), (_, then)) in stores_after.iter().zip(&stores_before) {
         let d = now.delta_since(*then);
@@ -492,29 +485,11 @@ where
         .with_attr("pages", now.pages);
         open.push(leaf);
     }
-    open.finish()
-}
-
-/// Assembles a [`QueryOutput`] from the pieces the trait default
-/// methods produce (shared between [`Index1D`] and [`Index2D`]).
-fn assemble_output(
-    ids: Vec<u64>,
-    candidates: u64,
-    span: Option<Span>,
-    req_trace: bool,
-    req_span: bool,
-) -> QueryOutput {
-    let trace = if req_trace {
-        span.as_ref().map(QueryTrace::from_span)
-    } else {
-        None
-    };
     QueryOutput {
         ids,
         candidates,
         epoch: None,
-        trace,
-        span: if req_span { span } else { None },
+        span: Some(open.finish()),
     }
 }
 
@@ -565,28 +540,11 @@ pub trait Index1D: IndexStats {
 
     /// Answers a MOR query — the one read entry point. The request
     /// carries every option the historical `query_into` / `query_span` /
-    /// `query_traced` family spread over signatures: span/trace
-    /// construction and out-buffer reuse. Plain calls read as
+    /// `query_traced` family spread over signatures: span construction
+    /// and out-buffer reuse. Plain calls read as
     /// `index.query(&QueryRequest::new(&q))` (or `(&q).into()`).
     fn query(&mut self, req: &QueryRequest<'_, MorQuery1D>) -> QueryOutput {
-        let mut ids = req.take_buffer();
-        let span = if req.wants_span() {
-            let epoch = req.span_epoch().unwrap_or_else(Instant::now);
-            Some(run_span(self, epoch, &mut ids, |index, out| {
-                index.search(req.query(), out);
-            }))
-        } else {
-            self.search(req.query(), &mut ids);
-            None
-        };
-        let candidates = self.last_candidates();
-        assemble_output(
-            ids,
-            candidates,
-            span,
-            req.wants_trace(),
-            req.span_epoch().is_some(),
-        )
+        execute(self, req, Self::search)
     }
 
     /// Publishes an immutable, `Send + Sync` snapshot of the index for
@@ -616,25 +574,27 @@ pub trait Index2D: IndexStats {
     /// Answers a 2-D MOR query — the one read entry point (see
     /// [`Index1D::query`]).
     fn query(&mut self, req: &QueryRequest<'_, MorQuery2D>) -> QueryOutput {
-        let mut ids = req.take_buffer();
-        let span = if req.wants_span() {
-            let epoch = req.span_epoch().unwrap_or_else(Instant::now);
-            Some(run_span(self, epoch, &mut ids, |index, out| {
-                index.search(req.query(), out);
-            }))
-        } else {
-            self.search(req.query(), &mut ids);
-            None
-        };
-        let candidates = self.last_candidates();
-        assemble_output(
-            ids,
-            candidates,
-            span,
-            req.wants_trace(),
-            req.span_epoch().is_some(),
-        )
+        execute(self, req, Self::search)
     }
+}
+
+/// Calls `make` for a page store whose pages have no byte codec and so
+/// cannot be journaled: on a durable backend it would accept writes and
+/// let [`IndexStats::commit_group`] return `Ok` with nothing logged.
+///
+/// # Panics
+/// When `make` returns a durable backend, naming `method` and `store`.
+pub(crate) fn volatile_backend(
+    make: &mut dyn FnMut() -> Box<dyn Backend>,
+    method: &str,
+    store: &str,
+) -> Box<dyn Backend> {
+    let backend = make();
+    assert!(
+        !backend.is_durable(),
+        "{method}: store {store} has no page codec and cannot sit on a durable backend"
+    );
+    backend
 }
 
 /// Sorts and deduplicates a result id list (the `query` postcondition).

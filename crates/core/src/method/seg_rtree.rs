@@ -137,7 +137,8 @@ impl IndexStats for SegRTreeIndex {
     }
 
     fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
-        drop(self.tree.set_backend(make()));
+        let backend = super::volatile_backend(make, "seg-R*", "rtree");
+        drop(self.tree.set_backend(backend));
     }
 }
 

@@ -5,9 +5,10 @@
 //! I/O delta attributed to the node itself, free-form key=value
 //! attributes, and child spans. A sharded query produces
 //! `query → per-shard fan-out → worker execute → index method →
-//! per-store I/O` as one reconcilable tree; the flat
-//! [`QueryTrace`](crate::QueryTrace) is a leaf view derived from the
-//! same data ([`QueryTrace::from_span`](crate::QueryTrace::from_span)).
+//! per-store I/O` as one reconcilable tree. It is the only per-query
+//! record: the root carries the method and the `candidates` / `results`
+//! counts, its duration is the query latency, and each store leaf
+//! carries that store's I/O and `pages`.
 //!
 //! The accounting contract: instrumentation attributes I/O to **leaf**
 //! spans (one per page store), interior spans carry zero of their own,
@@ -301,9 +302,7 @@ mod tests {
     fn tree() -> Span {
         let mut root = Span::leaf("query", 0, SpanIo::default()).with_attr("method", "m");
         root.duration_nanos = 5_000;
-        let mut leg = Span::leaf("s0/execute", 100, SpanIo::default())
-            .with_attr("shard", 0u64)
-            .with_attr("store_prefix", "s0/");
+        let mut leg = Span::leaf("s0/execute", 100, SpanIo::default()).with_attr("shard", 0u64);
         leg.children.push(
             Span::leaf(
                 "store/obs0",

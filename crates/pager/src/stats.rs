@@ -4,10 +4,8 @@
 //! are derived from [`IoStats`]: query cost = reads+writes between two
 //! [`IoSnapshot`]s, space = live page count. Buffer-pool behaviour (hits,
 //! evictions, dirty write-backs) is tallied alongside so the harness can
-//! report hit rates, and every counter can be published to a
-//! [`mobidx_obs::Recorder`] under a per-store prefix.
+//! report hit rates.
 
-use mobidx_obs::Recorder;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -291,28 +289,6 @@ impl IoStats {
             evictions: self.evictions() - since.evictions,
         }
     }
-
-    /// Publishes every counter to `recorder`, each name prefixed with
-    /// `prefix` (e.g. `"pager.obs3."`).
-    pub fn publish(&self, recorder: &dyn Recorder, prefix: &str) {
-        recorder.add_counter(&format!("{prefix}reads"), self.reads());
-        recorder.add_counter(&format!("{prefix}writes"), self.writes());
-        recorder.add_counter(&format!("{prefix}hits"), self.hits());
-        recorder.add_counter(&format!("{prefix}evictions"), self.evictions());
-        recorder.add_counter(&format!("{prefix}writebacks"), self.writebacks());
-        recorder.add_counter(&format!("{prefix}retries"), self.retries());
-        recorder.add_counter(&format!("{prefix}faults_injected"), self.faults_injected());
-        recorder.add_counter(
-            &format!("{prefix}faults_recovered"),
-            self.faults_recovered(),
-        );
-        recorder.add_counter(&format!("{prefix}backoff_units"), self.backoff_units());
-        recorder.add_counter(&format!("{prefix}wal_records"), self.wal_records());
-        recorder.add_counter(&format!("{prefix}wal_bytes"), self.wal_bytes());
-        recorder.add_counter(&format!("{prefix}wal_fsyncs"), self.wal_fsyncs());
-        recorder.add_counter(&format!("{prefix}wal_replayed"), self.wal_replayed());
-        recorder.set_gauge(&format!("{prefix}live_pages"), self.live_pages());
-    }
 }
 
 /// A point-in-time copy of the I/O and buffer counters.
@@ -463,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn wal_counters_accumulate_reset_and_publish() {
+    fn wal_counters_accumulate_and_reset() {
         let s = IoStats::new();
         s.add_wal(3, 120, 1);
         s.add_wal(1, 40, 1);
@@ -472,12 +448,6 @@ mod tests {
         assert_eq!(s.wal_bytes(), 160);
         assert_eq!(s.wal_fsyncs(), 2);
         assert_eq!(s.wal_replayed(), 5);
-        let rec = mobidx_obs::MemoryRecorder::new();
-        s.publish(&rec, "pager.d.");
-        assert_eq!(rec.counter("pager.d.wal_records"), 4);
-        assert_eq!(rec.counter("pager.d.wal_bytes"), 160);
-        assert_eq!(rec.counter("pager.d.wal_fsyncs"), 2);
-        assert_eq!(rec.counter("pager.d.wal_replayed"), 5);
         s.reset_io();
         assert_eq!(s.wal_records(), 0);
         assert_eq!(s.wal_bytes(), 0);
@@ -489,18 +459,5 @@ mod tests {
     fn stats_are_sync() {
         fn assert_sync<T: Sync>() {}
         assert_sync::<IoStats>();
-    }
-
-    #[test]
-    fn publish_emits_prefixed_metrics() {
-        let s = IoStats::new();
-        s.add_reads(2);
-        s.add_hits(1);
-        s.add_alloc();
-        let rec = mobidx_obs::MemoryRecorder::new();
-        s.publish(&rec, "pager.t.");
-        assert_eq!(rec.counter("pager.t.reads"), 2);
-        assert_eq!(rec.counter("pager.t.hits"), 1);
-        assert_eq!(rec.gauge("pager.t.live_pages"), 1);
     }
 }

@@ -9,7 +9,7 @@ use crate::worker::{self, Request};
 use crate::ServeError;
 use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IoTotals, QueryOutput, QueryRequest};
 use mobidx_obs::telemetry::{ProfileConfig, WorkloadProfile};
-use mobidx_obs::{EventLog, OpenSpan, QueryTrace, Span, SpanIo};
+use mobidx_obs::{EventLog, OpenSpan, Span, SpanIo};
 use mobidx_pager::FsyncPolicy;
 use mobidx_workload::{MorQuery1D, Motion1D};
 use std::collections::HashMap;
@@ -423,9 +423,10 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// snapshot exists take the worker-queue path instead (and leave
     /// `epoch` as `None`).
     ///
-    /// Both paths honor tracing: [`QueryRequest::traced`] /
-    /// [`QueryRequest::spanned`] produce a root `query` span with one
-    /// `s<shard>/execute` leg per shard. Queued legs carry
+    /// Both paths honor [`QueryRequest::spanned`]: a root `query` span
+    /// with one `s<shard>/execute` leg per shard, all timed against the
+    /// request's epoch (pass [`ShardedDb::telemetry_epoch`] to share the
+    /// facade's timeline). Queued legs carry
     /// `queue_wait_nanos`; snapshot legs instead carry
     /// `snapshot_epoch` and the frozen-page read count — snapshot reads
     /// never wait in a queue, which is the point.
@@ -435,13 +436,18 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// [`ServeError::ShardDown`] when a queued-path worker cannot
     /// answer. The snapshot path is infallible once a snapshot exists.
     pub fn query(&self, req: &QueryRequest<'_, MorQuery1D>) -> Result<QueryOutput, ServeError> {
-        if req.is_queued() || req.speed_filter().is_some() {
-            return self.query_queued(req);
-        }
-        match self.registry.current() {
-            Some(snap) => Ok(self.query_snapshot(&snap, req)),
-            None => self.query_queued(req),
-        }
+        let all = || (0..self.shards).collect();
+        let targets = match req.speed_filter() {
+            Some((v_lo, v_hi)) => self
+                .shard_fn
+                .shards_for_speed(v_lo, v_hi, self.shards)
+                .unwrap_or_else(all),
+            None => match self.registry.current() {
+                Some(snap) if !req.is_queued() => return Ok(self.query_snapshot(&snap, req)),
+                _ => all(),
+            },
+        };
+        self.query_queued(req, &targets)
     }
 
     /// A detached, immutable read handle on the latest published
@@ -470,15 +476,62 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             .set_read_delay_nanos(u64::try_from(per_page.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// The queued (worker fan-out) read path.
-    fn query_queued(&self, req: &QueryRequest<'_, MorQuery1D>) -> Result<QueryOutput, ServeError> {
-        let q = req.query();
+    /// The queued (worker fan-out) read path over `targets`: one
+    /// `Query` message per target shard (each answered into a pooled
+    /// buffer), k-way merged, then narrowed to the request's speed
+    /// filter, if any. A spanned request also gets the root `query` span
+    /// (method, summed candidates, result count) with one
+    /// `s<shard>/execute` child per leg, each carrying its queue wait and
+    /// the worker's `index.query` subtree down to per-store I/O leaves;
+    /// [`Span::total_io`] reconciles with the [`ShardedDb::io_totals`]
+    /// delta, and the finished tree is also pushed into the facade's
+    /// [`EventLog`] ([`ShardedDb::recent_spans`]).
+    fn query_queued(
+        &self,
+        req: &QueryRequest<'_, MorQuery1D>,
+        targets: &[usize],
+    ) -> Result<QueryOutput, ServeError> {
+        let epoch = req.span_epoch();
+        let mut root = epoch.map(|epoch| {
+            let mut root = OpenSpan::begin("query", epoch);
+            root.set_attr(
+                "method",
+                format!("sharded[{}x {}]", self.shards, self.shard_fn.name()).as_str(),
+            );
+            root.set_attr("lane", 0u64);
+            root.set_attr("lane_name", "client");
+            root
+        });
+        let span = epoch.zip(root.as_ref().map(OpenSpan::start_nanos));
+        let q = *req.query();
+        let mut waits = Vec::with_capacity(targets.len());
+        for &shard in targets {
+            let (reply, rx) = channel();
+            let buf = self.pop_buffer();
+            self.send(
+                shard,
+                Request::Query {
+                    q,
+                    buf,
+                    span,
+                    reply,
+                },
+            )?;
+            waits.push((shard, rx));
+        }
+        let mut candidates = 0u64;
+        let mut lists = Vec::with_capacity(waits.len());
+        for (shard, rx) in waits {
+            let out = rx.recv().map_err(|_| ServeError::ShardDown { shard })??;
+            candidates += out.candidates;
+            if let (Some(root), Some(leg)) = (&mut root, out.span) {
+                root.push(leg);
+            }
+            lists.push(out.ids);
+        }
+        let mut ids = merge_sorted_ids(&lists);
+        self.recycle(lists);
         if let Some((v_lo, v_hi)) = req.speed_filter() {
-            let targets = self
-                .shard_fn
-                .shards_for_speed(v_lo, v_hi, self.shards)
-                .unwrap_or_else(|| (0..self.shards).collect());
-            let mut ids = self.fan_out(q, &targets)?;
             let table = self.table.read().expect("motion table");
             ids.retain(|id| {
                 table.get(id).is_some_and(|m| {
@@ -486,80 +539,21 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
                     v_lo <= s && s <= v_hi
                 })
             });
-            drop(table);
-            return Ok(QueryOutput {
-                ids,
-                ..QueryOutput::default()
-            });
         }
-        if req.wants_span() {
-            return self.query_queued_span(req);
-        }
-        let all: Vec<usize> = (0..self.shards).collect();
-        Ok(QueryOutput {
-            ids: self.fan_out(q, &all)?,
-            ..QueryOutput::default()
-        })
-    }
-
-    /// The queued read path with a span tree: the root `query` span
-    /// (method, summed candidates, merged result count) has one
-    /// `s<shard>/execute` child per fan-out leg, each carrying its queue
-    /// wait and the worker's `index.query` subtree down to per-store I/O
-    /// leaves. All spans measure from the facade's shared epoch, so the
-    /// tree renders as one timeline (one lane per worker) in the Chrome
-    /// trace export, and [`Span::total_io`] reconciles with the
-    /// [`ShardedDb::io_totals`] delta. The finished tree is also pushed
-    /// into the facade's [`EventLog`] ([`ShardedDb::recent_spans`]).
-    fn query_queued_span(
-        &self,
-        req: &QueryRequest<'_, MorQuery1D>,
-    ) -> Result<QueryOutput, ServeError> {
-        let q = req.query();
-        let span_epoch = req.span_epoch().unwrap_or(self.epoch);
-        let mut root = OpenSpan::begin("query", span_epoch);
-        root.set_attr(
-            "method",
-            format!("sharded[{}x {}]", self.shards, self.shard_fn.name()).as_str(),
-        );
-        root.set_attr("lane", 0u64);
-        root.set_attr("lane_name", "client");
-        let sent_nanos = root.start_nanos();
-        let mut waits = Vec::with_capacity(self.shards);
-        for shard in 0..self.shards {
-            let (reply, rx) = channel();
-            self.send(
-                shard,
-                Request::Traced {
-                    q: *q,
-                    epoch: span_epoch,
-                    sent_nanos,
-                    reply,
-                },
-            )?;
-            waits.push((shard, rx));
-        }
-        let mut candidates = 0u64;
-        let mut lists = Vec::with_capacity(self.shards);
-        for (shard, rx) in waits {
-            let (ids, leg) = rx.recv().map_err(|_| ServeError::ShardDown { shard })??;
-            candidates += leg.attr_u64("candidates").unwrap_or(0);
-            root.push(leg);
-            lists.push(ids);
-        }
-        let merged = merge_sorted_ids(&lists);
-        root.set_attr("candidates", candidates);
-        root.set_attr("results", merged.len() as u64);
-        let span = root.finish();
-        self.events.push(Arc::new(span.clone()));
+        let span = root.map(|mut root| {
+            root.set_attr("candidates", candidates);
+            root.set_attr("results", ids.len() as u64);
+            let span = root.finish();
+            self.events.push(Arc::new(span.clone()));
+            span
+        });
         self.profile
-            .record_query(merged.len() as u64, self.len() as u64);
+            .record_query(ids.len() as u64, self.len() as u64);
         Ok(QueryOutput {
-            trace: req.wants_trace().then(|| QueryTrace::from_span(&span)),
-            span: req.span_epoch().is_some().then_some(span),
-            ids: merged,
+            ids,
             candidates,
             epoch: None,
+            span,
         })
     }
 
@@ -575,9 +569,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     ) -> QueryOutput {
         let q = *req.query();
         let n = snap.shards();
-        let span_epoch = req
-            .wants_span()
-            .then(|| req.span_epoch().unwrap_or(self.epoch));
+        let span_epoch = req.span_epoch();
         let root = span_epoch.map(|e| {
             let mut root = OpenSpan::begin("query", e);
             root.set_attr(
@@ -664,25 +656,11 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             self.events.push(Arc::new(span.clone()));
             span
         });
-        {
-            let mut pool = self.buffers.lock().expect("buffer pool");
-            for mut ids in lists {
-                ids.clear();
-                pool.push(ids);
-            }
-        }
+        self.recycle(lists);
         self.profile
             .record_query(merged.len() as u64, self.len() as u64);
         QueryOutput {
-            trace: match (&span, req.wants_trace()) {
-                (Some(span), true) => Some(QueryTrace::from_span(span)),
-                _ => None,
-            },
-            span: if req.span_epoch().is_some() {
-                span
-            } else {
-                None
-            },
+            span,
             ids: merged,
             candidates,
             epoch: Some(snap.epoch),
@@ -766,8 +744,12 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         motions
     }
 
-    /// The facade-wide trace time base (crate-internal).
-    pub(crate) fn telemetry_epoch(&self) -> Instant {
+    /// The facade-wide trace time base: the epoch the telemetry
+    /// sampler and the flight recorder measure from. Pass it to
+    /// [`QueryRequest::spanned`] to put a query's span tree on the same
+    /// timeline as [`ShardedDb::recent_spans`].
+    #[must_use]
+    pub fn telemetry_epoch(&self) -> Instant {
         self.epoch
     }
 
@@ -951,33 +933,13 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             .unwrap_or_default()
     }
 
-    /// Sends a fan-out query to `targets` and merges the answers,
-    /// recycling result buffers through the pool.
-    fn fan_out(&self, q: &MorQuery1D, targets: &[usize]) -> Result<Vec<u64>, ServeError> {
-        if targets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut waits = Vec::with_capacity(targets.len());
-        for &shard in targets {
-            let buf = self.pop_buffer();
-            let (reply, rx) = channel();
-            self.send(shard, Request::Query { q: *q, buf, reply })?;
-            waits.push((shard, rx));
-        }
-        let mut lists = Vec::with_capacity(waits.len());
-        for (shard, rx) in waits {
-            lists.push(rx.recv().map_err(|_| ServeError::ShardDown { shard })??);
-        }
-        let merged = merge_sorted_ids(&lists);
+    /// Returns result buffers to the pool (cleared, capacity kept).
+    fn recycle(&self, lists: Vec<Vec<u64>>) {
         let mut pool = self.buffers.lock().expect("buffer pool");
-        for mut l in lists {
-            l.clear();
-            pool.push(l);
+        for mut ids in lists {
+            ids.clear();
+            pool.push(ids);
         }
-        drop(pool);
-        self.profile
-            .record_query(merged.len() as u64, self.len() as u64);
-        Ok(merged)
     }
 
     /// Collects `(io_totals, store_io)` from every shard.

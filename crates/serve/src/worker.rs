@@ -20,9 +20,9 @@
 use crate::batch::ShardOp;
 use crate::health::ShardHealth;
 use crate::ServeError;
-use mobidx_core::{FrozenIndex1D, Index1D, IoTotals, QueryRequest};
+use mobidx_core::{FrozenIndex1D, Index1D, IoTotals, QueryOutput, QueryRequest};
 use mobidx_obs::telemetry::WorkloadProfile;
-use mobidx_obs::{OpenSpan, Span};
+use mobidx_obs::OpenSpan;
 use mobidx_workload::{MorQuery1D, Motion1D};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
@@ -43,22 +43,16 @@ pub(crate) enum Request<I> {
         reply: Sender<Result<Option<Arc<dyn FrozenIndex1D>>, ServeError>>,
     },
     /// Answer a MOR query into `buf` (a pooled buffer whose capacity is
-    /// reused across requests) and send it back.
+    /// reused across requests) and send it back. With `span` set to
+    /// `(epoch, sent_nanos)` the answer's `span` is this shard's
+    /// `s<shard>/execute` leg: `epoch` is the time base every span of
+    /// the tree measures from, and `sent_nanos` the enqueue time against
+    /// that base (the worker derives its queue wait from it).
     Query {
         q: MorQuery1D,
         buf: Vec<u64>,
-        reply: Sender<Result<Vec<u64>, ServeError>>,
-    },
-    /// Answer a MOR query inside a hierarchical trace span. `epoch` is
-    /// the facade-wide time base every span of the tree measures from,
-    /// and `sent_nanos` the enqueue time against that base (the worker
-    /// derives its queue wait from it).
-    Traced {
-        q: MorQuery1D,
-        epoch: Instant,
-        sent_nanos: u64,
-        #[allow(clippy::type_complexity)]
-        reply: Sender<Result<(Vec<u64>, Span), ServeError>>,
+        span: Option<(Instant, u64)>,
+        reply: Sender<Result<QueryOutput, ServeError>>,
     },
     /// Report I/O totals and the per-store breakdown.
     Stats {
@@ -183,51 +177,41 @@ pub(crate) fn run<I: Index1D>(
                         let _ = reply.send(r.clone().map(|()| view.clone()));
                     }
                 }
-                Request::Query { q, mut buf, reply } => {
-                    let started = Instant::now();
-                    let r = guarded(shard, &mut poisoned, || {
-                        index.search(&q, &mut buf);
-                        buf
-                    });
-                    if r.is_ok() {
-                        health.query_latency.record(elapsed_us(started));
-                        health.queries.incr();
-                    }
-                    let _ = reply.send(r);
-                }
-                Request::Traced {
+                Request::Query {
                     q,
-                    epoch,
-                    sent_nanos,
+                    buf,
+                    span,
                     reply,
                 } => {
                     let started = Instant::now();
                     // The worker's leg of the query tree: carries shard
-                    // identity, Chrome-trace lane routing, the `s<i>/` store
-                    // attribution prefix, and the time the request sat in
-                    // the queue; the index's own span nests inside it.
-                    let mut leg = OpenSpan::begin(format!("s{shard}/execute"), epoch);
-                    leg.set_attr("shard", shard as u64);
-                    leg.set_attr("lane", shard as u64 + 1);
-                    leg.set_attr("lane_name", format!("mobidx-shard-{shard}").as_str());
-                    leg.set_attr("store_prefix", format!("s{shard}/").as_str());
-                    leg.set_attr(
-                        "queue_wait_nanos",
-                        leg.start_nanos().saturating_sub(sent_nanos),
-                    );
-                    let r = guarded(shard, &mut poisoned, || {
-                        let out = index.query(&QueryRequest::new(&q).spanned(epoch));
-                        let span = out.span.clone().expect("spanned request yields a span");
-                        (out.into_ids(), span)
-                    });
-                    let r = r.map(|(ids, span)| {
-                        if let Some(c) = span.attr_u64("candidates") {
-                            leg.set_attr("candidates", c);
+                    // identity, Chrome-trace lane routing and the time
+                    // the request sat in the queue; the index's own span
+                    // nests inside it.
+                    let mut req = QueryRequest::new(&q).with_buffer(buf);
+                    let mut leg = None;
+                    if let Some((epoch, sent_nanos)) = span {
+                        req = req.spanned(epoch);
+                        let mut open = OpenSpan::begin(format!("s{shard}/execute"), epoch);
+                        open.set_attr("shard", shard as u64);
+                        open.set_attr("lane", shard as u64 + 1);
+                        open.set_attr("lane_name", format!("mobidx-shard-{shard}").as_str());
+                        open.set_attr(
+                            "queue_wait_nanos",
+                            open.start_nanos().saturating_sub(sent_nanos),
+                        );
+                        leg = Some(open);
+                    }
+                    let r = guarded(shard, &mut poisoned, || index.query(&req));
+                    let r = r.map(|mut out| {
+                        if let Some(mut leg) = leg {
+                            leg.set_attr("candidates", out.candidates);
+                            leg.push(out.span.take().expect("spanned request yields a span"));
+                            out.span = Some(leg.finish());
                         }
-                        leg.push(span);
                         health.query_latency.record(elapsed_us(started));
                         health.queries.incr();
-                        (ids, leg.finish())
+                        out
                     });
                     let _ = reply.send(r);
                 }

@@ -4,9 +4,12 @@
 //! [`FsyncPolicy::Never`] the workers skip sealing entirely.
 
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
-use mobidx_core::{Motion1D, QueryRequest};
-use mobidx_pager::{FileBackend, FsyncPolicy, WAL_FILE};
-use mobidx_serve::{Batch, IdHashShard, SamplerConfig, ServeConfig, ShardedDb};
+use mobidx_core::method::dual_kd::{DualKdConfig, DualKdIndex};
+use mobidx_core::method::seg_rtree::{SegRTreeConfig, SegRTreeIndex};
+use mobidx_core::{Index1D, Motion1D, QueryRequest};
+use mobidx_pager::{Backend, FileBackend, FsyncPolicy, WAL_FILE};
+use mobidx_serve::{Batch, IdHashShard, SamplerConfig, ServeConfig, ServeError, ShardedDb};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -201,4 +204,63 @@ fn queries_match_after_durable_commits() {
     assert_eq!(ids.len(), 100, "durable commits must not perturb answers");
     drop(db);
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A `set_backends` factory opening a fresh [`FileBackend`] per store
+/// under `root`.
+fn file_backends(root: PathBuf) -> impl FnMut() -> Box<dyn Backend> {
+    let mut store = 0;
+    move || {
+        let dir = root.join(format!("store{store}"));
+        store += 1;
+        let (backend, _) = FileBackend::open(&dir, FsyncPolicy::OnCommit).expect("open store dir");
+        Box::new(backend)
+    }
+}
+
+/// Stores whose pages have no byte codec (kd-tree, R*-tree and
+/// interval-tree pages) refuse a durable backend instead of accepting
+/// writes that `commit_group` would never log. Called directly, the
+/// hook panics naming the method and store; behind a serving shard the
+/// panic surfaces as [`ServeError::ShardFault`].
+#[test]
+fn codecless_stores_refuse_durable_backends() {
+    fn check<I: Index1D + Send + 'static>(tag: &str, want: &str, make: fn() -> I) {
+        let root = tmp_root(tag);
+        let mut index = make();
+        let mut backends = file_backends(root.join("direct"));
+        let payload = catch_unwind(AssertUnwindSafe(|| index.set_backends(&mut backends)))
+            .expect_err("durable backend accepted");
+        let message = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains(want), "{message}");
+
+        let db = ShardedDb::new(
+            ServeConfig {
+                shards: 1,
+                ..ServeConfig::default()
+            },
+            Box::new(IdHashShard),
+            move |_, _| make(),
+        );
+        let dir = root.join("shard");
+        match db.with_shard(0, move |index| index.set_backends(&mut file_backends(dir))) {
+            Err(ServeError::ShardFault { panic, .. }) => assert!(panic.contains(want), "{panic}"),
+            other => panic!("{tag}: expected a shard fault, got {other:?}"),
+        }
+        drop(db);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+    check("kd", "dual-kd: store gen0", || {
+        DualKdIndex::new(DualKdConfig::default())
+    });
+    check("rstar", "seg-R*: store rtree", || {
+        SegRTreeIndex::new(SegRTreeConfig::default())
+    });
+    check("subterrain", "dual-B+: store sub0", || {
+        DualBPlusIndex::new(DualBPlusConfig {
+            c: 2,
+            maintain_subterrain: true,
+            ..DualBPlusConfig::default()
+        })
+    });
 }

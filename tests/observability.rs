@@ -1,4 +1,4 @@
-//! Cross-crate observability tests: `QueryTrace` accounting must
+//! Cross-crate observability tests: query span accounting must
 //! reconcile exactly with the pager's `IoTotals` deltas for every paper
 //! method, histograms must survive edge inputs, and the machine-readable
 //! benchmark report must round-trip through the JSON parser with every
@@ -10,7 +10,7 @@ use mobidx_core::method::dual_bplus::DualBPlusConfig;
 use mobidx_core::{Index2D, MorQuery1D, Motion1D, QueryRequest, SpeedBand};
 use mobidx_kdtree::KdConfig;
 use mobidx_obs::json::{chrome_trace, Value};
-use mobidx_obs::{Histogram, QueryTrace, Span};
+use mobidx_obs::{Histogram, Span, SpanIo};
 use mobidx_pager::{FaultPlan, FaultStore};
 use mobidx_workload::{Simulator2D, WorkloadConfig2D};
 use proptest::prelude::*;
@@ -45,6 +45,18 @@ fn query_strategy() -> impl Strategy<Value = MorQuery1D> {
     })
 }
 
+/// The I/O summed over the span's store leaves (spans carrying a
+/// `store` attribute) — the per-store breakdown of a query.
+fn store_leaf_io(span: &Span) -> SpanIo {
+    let mut io = SpanIo::default();
+    span.visit(&mut |s| {
+        if s.attr_str("store").is_some() {
+            io = io.merge(s.io);
+        }
+    });
+    io
+}
+
 fn dedup_by_id(mut motions: Vec<Motion1D>) -> Vec<Motion1D> {
     motions.sort_by_key(|m| m.id);
     motions.dedup_by_key(|m| m.id);
@@ -55,9 +67,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For every paper method (through the `Box<dyn Index1D>` the bench
-    /// harness uses), the trace's I/O counters equal the `IoTotals`
-    /// delta across the query, the per-store breakdown sums to the
-    /// totals, and candidates dominate results.
+    /// harness uses), the span's I/O equals the `IoTotals` delta across
+    /// the query, the store leaves sum to the totals, and candidates
+    /// dominate results.
     #[test]
     fn traces_reconcile_with_io_totals(
         motions in prop::collection::vec(motion_strategy(), 1..80),
@@ -73,26 +85,24 @@ proptest! {
                 idx.clear_buffers();
                 idx.reset_io();
                 let before = idx.io_totals();
-                let out = idx.query(&QueryRequest::new(q).traced());
-                let trace = out.trace.expect("traced request yields a trace");
-                let ids = out.ids;
+                let out = idx.query(&QueryRequest::new(q).spanned(Instant::now()));
+                let span = out.span.expect("spanned request yields a span");
                 let delta = idx.io_totals().delta_since(before);
-                prop_assert_eq!(&trace.method, &method.name);
-                prop_assert_eq!(trace.reads, delta.reads, "{} reads", method.name);
-                prop_assert_eq!(trace.writes, delta.writes, "{} writes", method.name);
-                prop_assert_eq!(trace.hits, delta.hits, "{} hits", method.name);
-                prop_assert_eq!(trace.results, ids.len() as u64, "{}", method.name);
+                let io = span.total_io();
+                let results = out.ids.len() as u64;
+                prop_assert_eq!(span.attr_str("method"), Some(method.name.as_str()));
+                prop_assert_eq!(io.reads, delta.reads, "{} reads", method.name);
+                prop_assert_eq!(io.writes, delta.writes, "{} writes", method.name);
+                prop_assert_eq!(io.hits, delta.hits, "{} hits", method.name);
+                prop_assert_eq!(span.attr_u64("results"), Some(results), "{}", method.name);
+                prop_assert_eq!(span.attr_u64("candidates"), Some(out.candidates));
                 prop_assert!(
-                    trace.candidates >= trace.results,
+                    out.candidates >= results,
                     "{}: candidates {} < results {}",
-                    method.name, trace.candidates, trace.results
+                    method.name, out.candidates, results
                 );
-                let store_reads: u64 = trace.stores.iter().map(|s| s.reads).sum();
-                let store_writes: u64 = trace.stores.iter().map(|s| s.writes).sum();
-                prop_assert_eq!(store_reads, trace.reads, "{} store reads", method.name);
-                prop_assert_eq!(store_writes, trace.writes, "{} store writes", method.name);
-                prop_assert!((0.0..=1.0).contains(&trace.false_hit_rate()));
-                prop_assert!((0.0..=1.0).contains(&trace.hit_rate()));
+                let leaves = store_leaf_io(&span);
+                prop_assert_eq!(leaves, io, "{} store leaves", method.name);
             }
         }
     }
@@ -102,7 +112,7 @@ proptest! {
     /// a transient-fault backend (whose faults the default retry policy
     /// absorbs), the recursive sum of the tree's leaf I/O equals the
     /// `IoTotals` delta across the query, interior spans carry no I/O
-    /// of their own, and the flattened [`QueryTrace`] view agrees.
+    /// of their own.
     #[test]
     fn span_trees_reconcile_with_io_totals(
         motions in prop::collection::vec(motion_strategy(), 1..60),
@@ -154,13 +164,6 @@ proptest! {
                         "{} results attr", &label
                     );
                     prop_assert!(!span.children.is_empty(), "{}: no store leaves", &label);
-                    // The flat trace is a faithful leaf view.
-                    let trace = QueryTrace::from_span(&span);
-                    prop_assert_eq!(trace.reads, delta.reads, "{} flat reads", &label);
-                    prop_assert_eq!(trace.writes, delta.writes, "{} flat writes", &label);
-                    prop_assert_eq!(trace.results, ids.len() as u64, "{}", &label);
-                    let store_reads: u64 = trace.stores.iter().map(|s| s.reads).sum();
-                    prop_assert_eq!(store_reads, trace.reads, "{} store reads", &label);
                 }
             }
         }
@@ -193,11 +196,10 @@ fn false_hit_rates_separate_exact_from_approximate() {
             let q = sim.gen_query(150.0, 60.0);
             idx.clear_buffers();
             idx.reset_io();
-            let out = idx.query(&QueryRequest::new(&q).traced());
-            let trace = out.trace.expect("traced request yields a trace");
-            let ids = out.ids;
-            candidates += trace.candidates;
-            results += ids.len() as u64;
+            let out = idx.query(&QueryRequest::new(&q).spanned(Instant::now()));
+            let span = out.span.expect("spanned request yields a span");
+            candidates += span.attr_u64("candidates").expect("candidates attr");
+            results += span.attr_u64("results").expect("results attr");
         }
         #[allow(clippy::cast_precision_loss)]
         let fh = candidates.saturating_sub(results) as f64 / candidates.max(1) as f64;
@@ -215,7 +217,7 @@ fn false_hit_rates_separate_exact_from_approximate() {
 }
 
 /// 2-D methods reconcile the same way through
-/// `Index2D::query(&QueryRequest::new(&q).traced())`.
+/// `Index2D::query(&QueryRequest::new(&q).spanned(epoch))`.
 #[test]
 fn traces_reconcile_in_2d() {
     let mut sim = Simulator2D::new(WorkloadConfig2D {
@@ -242,16 +244,18 @@ fn traces_reconcile_in_2d() {
             idx.clear_buffers();
             idx.reset_io();
             let before = idx.io_totals();
-            let out = idx.query(&QueryRequest::new(&q).traced());
-            let trace = out.trace.expect("traced request yields a trace");
-            let ids = out.ids;
+            let out = idx.query(&QueryRequest::new(&q).spanned(Instant::now()));
+            let span = out.span.expect("spanned request yields a span");
             let delta = idx.io_totals().delta_since(before);
-            assert_eq!(trace.reads, delta.reads, "{}", trace.method);
-            assert_eq!(trace.writes, delta.writes, "{}", trace.method);
-            assert_eq!(trace.results, ids.len() as u64, "{}", trace.method);
-            assert!(trace.candidates >= trace.results, "{}", trace.method);
-            let store_reads: u64 = trace.stores.iter().map(|s| s.reads).sum();
-            assert_eq!(store_reads, trace.reads, "{}", trace.method);
+            let io = span.total_io();
+            let name = idx.name();
+            let results = out.ids.len() as u64;
+            assert_eq!(io.reads, delta.reads, "{name}");
+            assert_eq!(io.writes, delta.writes, "{name}");
+            assert_eq!(io.hits, delta.hits, "{name}");
+            assert_eq!(span.attr_u64("results"), Some(results), "{name}");
+            assert!(out.candidates >= results, "{name}");
+            assert_eq!(store_leaf_io(&span), io, "{name}");
         }
     }
 }
@@ -332,33 +336,6 @@ fn json_report_contains_every_method() {
             .expect("queries");
         assert_eq!(count, queries, "{}", method.name);
     }
-}
-
-/// `QueryTrace::to_json` output round-trips through the parser.
-#[test]
-fn query_trace_json_round_trips() {
-    let mut sim = mobidx_workload::Simulator1D::new(mobidx_workload::WorkloadConfig {
-        n: 400,
-        seed: 3,
-        ..mobidx_workload::WorkloadConfig::default()
-    });
-    let method = &paper_methods()[1]; // dual-kd
-    let mut idx = (method.make)();
-    for m in sim.objects() {
-        idx.insert(m);
-    }
-    let q = sim.gen_query(150.0, 60.0);
-    idx.clear_buffers();
-    idx.reset_io();
-    let trace = idx
-        .query(&QueryRequest::new(&q).traced())
-        .trace
-        .expect("traced request yields a trace");
-    let doc = Value::parse(&trace.to_json().render()).expect("trace JSON parses");
-    assert_eq!(doc.get("method").and_then(Value::as_str), Some("dual-kd"));
-    assert_eq!(doc.get("reads").and_then(Value::as_u64), Some(trace.reads));
-    let stores = doc.get("stores").and_then(Value::as_array).expect("stores");
-    assert_eq!(stores.len(), trace.stores.len());
 }
 
 /// The Chrome trace-event export of real query span trees round-trips

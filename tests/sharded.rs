@@ -4,10 +4,11 @@
 //! from a single [`MotionDb`] over the same index method.
 
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
-use mobidx_core::{MorQuery1D, Motion1D, MotionDb, QueryRequest, SpeedBand};
+use mobidx_core::{IoTotals, MorQuery1D, Motion1D, MotionDb, QueryRequest, SpeedBand};
 use mobidx_serve::{Batch, IdHashShard, ServeConfig, ServeError, ShardedDb, SpeedBandShard};
 use mobidx_workload::{brute_force_1d, brute_force_1d_speed, Simulator1D, WorkloadConfig};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const TERRAIN: f64 = 1000.0;
 
@@ -416,7 +417,7 @@ fn tiny_queue_depth_only_slows_things_down() {
 
 /// Per-shard I/O accounting must roll up: the facade's totals are the
 /// sum over the `s<shard>/`-prefixed store listings, and a fan-out
-/// trace absorbs one leg per shard.
+/// span has one leg per shard whose store leaves match those listings.
 #[test]
 fn observability_rolls_up_across_shards() {
     let mut sim = Simulator1D::new(WorkloadConfig {
@@ -444,15 +445,29 @@ fn observability_rolls_up_across_shards() {
     let ids = out.ids;
     assert_eq!(span.name, "query");
     assert_eq!(span.children.len(), 4, "one leg per shard");
-    // The flat QueryTrace is a leaf view over the span tree.
-    let trace = mobidx_obs::QueryTrace::from_span(&span);
-    assert_eq!(trace.results as usize, ids.len());
-    assert_eq!(trace.method, "sharded[4x speed-band]");
-    assert!(
-        trace.stores.iter().any(|s| s.store.starts_with("s0/")),
-        "per-shard stores must be prefixed: {:?}",
-        trace.stores
-    );
+    assert_eq!(span.attr_u64("results"), Some(ids.len() as u64));
+    assert_eq!(span.attr_str("method"), Some("sharded[4x speed-band]"));
+    // Per-shard store attribution: each store leaf under leg `i`
+    // carries exactly the I/O `store_io` reports for `s<i>/<store>` (the
+    // counters were reset before the query, so they hold only its I/O).
+    let stores: HashMap<String, IoTotals> = db.store_io().expect("stores").into_iter().collect();
+    for (i, leg) in span.children.iter().enumerate() {
+        assert_eq!(leg.attr_u64("shard"), Some(i as u64), "legs in shard order");
+        let mut leaves = 0;
+        leg.visit(&mut |s| {
+            if let Some(store) = s.attr_str("store") {
+                let label = format!("s{i}/{store}");
+                let io = stores[&label];
+                assert_eq!(
+                    (s.io.reads, s.io.writes, s.io.hits),
+                    (io.reads, io.writes, io.hits),
+                    "{label}"
+                );
+                leaves += 1;
+            }
+        });
+        assert!(leaves > 0, "leg {i} has no store leaves");
+    }
 
     let totals = db.io_totals().expect("totals");
     let store_sum: u64 = db
@@ -463,12 +478,20 @@ fn observability_rolls_up_across_shards() {
         .sum();
     assert_eq!(totals.reads + totals.writes, store_sum);
 
-    // Every traced query also lands in the facade's event ring.
+    // The plain queued read answers the same ids and builds no span.
+    let plain = db
+        .query(&QueryRequest::new(&q).queued())
+        .expect("plain queued query");
+    assert_eq!(plain.ids, ids, "spanned and plain queued reads agree");
+    assert!(plain.span.is_none());
+
+    // Every spanned query (and only those) lands in the facade's event
+    // ring.
     let recent = db.recent_spans();
     assert_eq!(db.event_log().recorded(), 1);
     assert_eq!(recent.len(), 1);
     assert_eq!(recent[0].name, "query");
-    assert_eq!(recent[0].total_io().reads, trace.reads);
+    assert_eq!(*recent[0], span);
 }
 
 /// Snapshot span legs are queue-free by construction: each leg names
